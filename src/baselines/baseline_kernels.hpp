@@ -5,9 +5,9 @@
 // Same contract as the paper kernels: each struct is the flat,
 // trivially-copyable twin of one virtual baseline class, stepping
 // bit-for-bit through the identical observe() transitions so the batch
-// and wide Monte-Carlo engines can run Willard, Nakano–Olariu and the
-// no-CD sweep without virtual dispatch. The virtual classes remain the
-// generic path and the equivalence oracle
+// and wide Monte-Carlo engines can run Willard, symmetric LESK,
+// Nakano–Olariu and the no-CD sweep without virtual dispatch. The
+// virtual classes remain the generic path and the equivalence oracle
 // (tests/baseline_kernel_test.cpp locks each pair together).
 #pragma once
 
@@ -15,10 +15,12 @@
 #include <cstdint>
 #include <type_traits>
 
+#include "baselines/lesk_symmetric.hpp"
 #include "baselines/nakano_olariu.hpp"
 #include "baselines/nocd_election.hpp"
 #include "baselines/willard.hpp"
 #include "channel/types.hpp"
+#include "protocols/kernels.hpp"
 #include "support/expects.hpp"
 
 namespace jamelect::kernels {
@@ -84,6 +86,16 @@ struct WillardKernel {
         break;
     }
   }
+};
+
+/// Twin of SymmetricLesk: LESK's walk with a Collision increment of
+/// exactly 1.0 (-1 floored at 0 on Null, +1 on Collision, elect on
+/// Single). Only the constructor is its own, so kLeskWalk routes it
+/// onto LESK's fused lattice ops.
+struct SymmetricLeskKernel : LeskKernel {
+  using Params = SymmetricLeskParams;
+
+  explicit SymmetricLeskKernel(const Params&) : LeskKernel(1.0, 0.0) {}
 };
 
 /// Twin of NakanoOlariu: linear sweep to the first Null, then the
@@ -170,6 +182,7 @@ struct NoCdKernel {
 };
 
 static_assert(std::is_trivially_copyable_v<WillardKernel>);
+static_assert(std::is_trivially_copyable_v<SymmetricLeskKernel>);
 static_assert(std::is_trivially_copyable_v<NakanoOlariuKernel>);
 static_assert(std::is_trivially_copyable_v<NoCdKernel>);
 

@@ -15,7 +15,7 @@ void SymmetricLesk::observe(ChannelState state) {
   if (elected_) return;
   switch (state) {
     case ChannelState::kNull:
-      u_ = std::max(0.0, u_ - 1.0);
+      u_ = std::max(u_ - 1.0, 0.0);  // Lesk's floor, expression for expression
       break;
     case ChannelState::kCollision:
       u_ += 1.0;

@@ -9,15 +9,22 @@
 // arm for bench E12, which shows exactly that divergence.
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "protocols/uniform.hpp"
+#include "support/state_hash.hpp"
 
 namespace jamelect {
+
+/// SymmetricLesk has no tunables; the empty params type keys the batch
+/// kernel registry (sim/batch.hpp, baselines/baseline_kernels.hpp).
+struct SymmetricLeskParams {};
 
 class SymmetricLesk final : public UniformProtocol {
  public:
   SymmetricLesk() = default;
+  explicit SymmetricLesk(SymmetricLeskParams) {}
 
   [[nodiscard]] double transmit_probability() override;
   void observe(ChannelState state) override;
@@ -29,6 +36,15 @@ class SymmetricLesk final : public UniformProtocol {
   [[nodiscard]] double estimate() const override { return u_; }
 
   [[nodiscard]] double u() const noexcept { return u_; }
+
+  [[nodiscard]] SymmetricLeskParams params() const noexcept { return {}; }
+  [[nodiscard]] std::uint64_t state_hash() const override {
+    return StateHash{}.add(u_).add(elected_).value();
+  }
+  [[nodiscard]] bool state_equals(const UniformProtocol& other) const override {
+    const auto* o = dynamic_cast<const SymmetricLesk*>(&other);
+    return o != nullptr && u_ == o->u_ && elected_ == o->elected_;
+  }
 
  private:
   double u_ = 0.0;

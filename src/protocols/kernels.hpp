@@ -96,7 +96,17 @@ struct LeskKernel {
                                             : u;
     elected = state == ChannelState::kSingle;
   }
+
+ protected:
+  /// The walk from an explicit increment, for kernels that reuse this
+  /// step with one no eps yields (SymmetricLeskKernel: exactly 1.0).
+  LeskKernel(double inc_, double u0) : inc(inc_), u(u0), elected(false) {}
 };
+
+/// LeskKernel and the kernels derived from it: the batch engines run
+/// these on LESK's fused lattice ops with a dense index of pitch inc.
+template <class Kernel>
+inline constexpr bool kLeskWalk = std::is_base_of_v<LeskKernel, Kernel>;
 
 /// Twin of Estimation (paper Function 2): round r transmits w.p.
 /// 2^-2^r for 2^r slots; completes when a round sees >= L Nulls.

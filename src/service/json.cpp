@@ -189,7 +189,15 @@ class Parser {
       if (errno == 0 && end != nullptr && *end == '\0') {
         return Json(static_cast<std::int64_t>(v));
       }
-      // Integer overflowing int64 falls through to double.
+      // Beyond int64: non-negative integers up to 2^64 - 1 stay exact
+      // (64-bit seeds); anything larger falls through to double.
+      if (text_[start] != '-') {
+        errno = 0;
+        const unsigned long long uv = std::strtoull(tok.c_str(), &end, 10);
+        if (errno == 0 && end != nullptr && *end == '\0') {
+          return Json(static_cast<std::uint64_t>(uv));
+        }
+      }
     }
     errno = 0;
     char* end = nullptr;
@@ -281,6 +289,13 @@ void Json::dump_to(std::string& out) const {
     case Type::kInt: {
       char buf[24];
       std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(int_));
+      out += buf;
+      break;
+    }
+    case Type::kUint: {
+      char buf[24];
+      std::snprintf(buf, sizeof buf, "%llu",
+                    static_cast<unsigned long long>(uint_bits()));
       out += buf;
       break;
     }

@@ -10,8 +10,9 @@
 //    which is what lets cached result envelopes round-trip through disk
 //    byte-identically (result_cache.cpp).
 //  * Numbers remember whether they were integral. Integers in int64
-//    range print exactly; other numbers print as %.17g, which
-//    round-trips doubles exactly. Both are deterministic.
+//    range, and non-negative ones up to 2^64 - 1 (kUint), print
+//    exactly; other numbers print as %.17g, which round-trips doubles
+//    exactly. Both are deterministic.
 //
 // Depth is capped (kMaxDepth) so hostile input can't overflow the
 // stack; parse failures return nullopt with a position-tagged message.
@@ -32,6 +33,7 @@ class Json {
     kNull,
     kBool,
     kInt,     ///< number that lexed as an integer in int64 range
+    kUint,    ///< integer in (int64 max, 2^64 - 1]
     kDouble,  ///< any other number
     kString,
     kArray,
@@ -49,7 +51,8 @@ class Json {
   Json(std::int64_t i) : type_(Type::kInt), int_(i) {}
   Json(int i) : Json(static_cast<std::int64_t>(i)) {}
   Json(std::uint64_t u)
-      : type_(Type::kInt), int_(static_cast<std::int64_t>(u)) {}
+      : type_(static_cast<std::int64_t>(u) < 0 ? Type::kUint : Type::kInt),
+        int_(static_cast<std::int64_t>(u)) {}
   Json(double d) : type_(Type::kDouble), double_(d) {}
   Json(std::string s) : type_(Type::kString), string_(std::move(s)) {}
   Json(const char* s) : Json(std::string(s)) {}
@@ -60,7 +63,8 @@ class Json {
   [[nodiscard]] bool is_null() const noexcept { return type_ == Type::kNull; }
   [[nodiscard]] bool is_bool() const noexcept { return type_ == Type::kBool; }
   [[nodiscard]] bool is_number() const noexcept {
-    return type_ == Type::kInt || type_ == Type::kDouble;
+    return type_ == Type::kInt || type_ == Type::kUint ||
+           type_ == Type::kDouble;
   }
   [[nodiscard]] bool is_int() const noexcept { return type_ == Type::kInt; }
   [[nodiscard]] bool is_string() const noexcept {
@@ -84,7 +88,17 @@ class Json {
   [[nodiscard]] double as_double(double fallback = 0.0) const noexcept {
     if (type_ == Type::kDouble) return double_;
     if (type_ == Type::kInt) return static_cast<double>(int_);
+    if (type_ == Type::kUint) return static_cast<double>(uint_bits());
     return fallback;
+  }
+  /// The exact value of a non-negative integer literal (kInt >= 0 or
+  /// kUint); nullopt for negatives, doubles — even integral ones like
+  /// 1e3 — and non-numbers.
+  [[nodiscard]] std::optional<std::uint64_t> as_uint() const noexcept {
+    if (type_ == Type::kUint || (type_ == Type::kInt && int_ >= 0)) {
+      return uint_bits();
+    }
+    return std::nullopt;
   }
   [[nodiscard]] const std::string& as_string() const noexcept {
     return string_;  // empty unless kString
@@ -113,10 +127,13 @@ class Json {
 
  private:
   void dump_to(std::string& out) const;
+  [[nodiscard]] std::uint64_t uint_bits() const noexcept {
+    return static_cast<std::uint64_t>(int_);
+  }
 
   Type type_ = Type::kNull;
   bool bool_ = false;
-  std::int64_t int_ = 0;
+  std::int64_t int_ = 0;  ///< kUint keeps its bits here too
   double double_ = 0.0;
   std::string string_;
   Array array_;

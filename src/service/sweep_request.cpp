@@ -64,7 +64,13 @@ std::optional<SweepRequest> SweepRequest::from_json(const Json& params,
       if (value.as_int() < 0) return fail("trials must be >= 1");
       req.trials = static_cast<std::size_t>(value.as_int());
     } else if (key == "seed" && want_number()) {
-      req.seed = static_cast<std::uint64_t>(value.as_int());
+      // Exact, never through a double: every 64-bit seed is its own
+      // cache key and echoes back as the same digits.
+      const auto seed = value.as_uint();
+      if (!seed.has_value()) {
+        return fail("seed must be an integer in [0, 2^64 - 1]");
+      }
+      req.seed = *seed;
     } else if (key == "max_slots" && want_number()) {
       req.max_slots = value.as_int();
     } else if (key == "batch" && want_number()) {

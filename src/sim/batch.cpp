@@ -45,6 +45,10 @@ struct KernelFor<WillardParams> {
   using type = kernels::WillardKernel;
 };
 template <>
+struct KernelFor<SymmetricLeskParams> {
+  using type = kernels::SymmetricLeskKernel;
+};
+template <>
 struct KernelFor<NakanoOlariuParams> {
   using type = kernels::NakanoOlariuKernel;
 };
@@ -527,7 +531,7 @@ void aggregate_lanes_wide(const typename Kernel::Params& params,
   JAMELECT_EXPECTS(config.max_slots >= 1);
   JAMELECT_EXPECTS(lane_invariant_policy(spec));
   constexpr bool kIsUniform = std::is_same_v<Kernel, kernels::UniformKernel>;
-  constexpr bool kIsLesk = std::is_same_v<Kernel, kernels::LeskKernel>;
+  constexpr bool kIsLesk = kernels::kLeskWalk<Kernel>;
   // Everything that is neither a fixed exponent nor a LESK lattice walk
   // (LESU and the baseline kernels) steps scalar off the vector-
   // classified states; the only contract is that done() flips exactly
@@ -740,7 +744,7 @@ void aggregate_lanes_wide_ctr(const typename Kernel::Params& params,
   JAMELECT_EXPECTS(config.max_slots >= 1);
   JAMELECT_EXPECTS(lane_invariant_policy(spec));
   constexpr bool kIsUniform = std::is_same_v<Kernel, kernels::UniformKernel>;
-  constexpr bool kIsLesk = std::is_same_v<Kernel, kernels::LeskKernel>;
+  constexpr bool kIsLesk = kernels::kLeskWalk<Kernel>;
   constexpr bool kIsGeneric = !kIsUniform && !kIsLesk;
 
   const std::uint64_t n = config.n;
@@ -958,7 +962,7 @@ void aggregate_lanes_wide_adaptive(const typename Kernel::Params& params,
   const std::uint64_t n = config.n;
   BatchWorkspace& workspace = local_batch_workspace();
   SlotProbCache& cache = workspace.cache(n);
-  if constexpr (std::is_same_v<Kernel, kernels::LeskKernel>) {
+  if constexpr (kernels::kLeskWalk<Kernel>) {
     cache.set_lattice_step(Kernel(params).inc);
   }
 
@@ -1145,7 +1149,7 @@ void hybrid_lanes_wide(const typename Kernel::Params& params,
   BatchWorkspace& workspace = local_batch_workspace();
   SlotProbCache& cache_n = workspace.cache(n);
   SlotProbCache& cache_nm1 = workspace.cache(n - 1);
-  if constexpr (std::is_same_v<Kernel, kernels::LeskKernel>) {
+  if constexpr (kernels::kLeskWalk<Kernel>) {
     const double inc = Kernel(params).inc;
     cache_n.set_lattice_step(inc);
     cache_nm1.set_lattice_step(inc);
@@ -1533,6 +1537,12 @@ std::optional<BatchKernelSpec> batch_kernel_spec(
   }
   if (const auto* p = dynamic_cast<const Willard*>(&prototype)) {
     if (Willard(p->params()).state_equals(prototype)) {
+      return BatchKernelSpec{p->params()};
+    }
+    return std::nullopt;
+  }
+  if (const auto* p = dynamic_cast<const SymmetricLesk*>(&prototype)) {
+    if (SymmetricLesk(p->params()).state_equals(prototype)) {
       return BatchKernelSpec{p->params()};
     }
     return std::nullopt;

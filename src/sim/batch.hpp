@@ -45,6 +45,7 @@
 #include <optional>
 #include <variant>
 
+#include "baselines/lesk_symmetric.hpp"
 #include "baselines/nakano_olariu.hpp"
 #include "baselines/nocd_election.hpp"
 #include "baselines/willard.hpp"
@@ -63,7 +64,7 @@ namespace jamelect {
 /// baselines/baseline_kernels.hpp).
 using BatchKernelSpec =
     std::variant<PlainUniformParams, LeskParams, LesuParams, WillardParams,
-                 NakanoOlariuParams, NoCdElectionParams>;
+                 SymmetricLeskParams, NakanoOlariuParams, NoCdElectionParams>;
 
 /// Probes a freshly constructed protocol instance for a kernel twin.
 /// Returns nullopt — i.e. "use the virtual fallback" — for protocol

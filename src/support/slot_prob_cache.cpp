@@ -8,6 +8,10 @@ namespace jamelect {
 
 SlotProbCache::SlotProbCache(std::uint64_t n, std::size_t initial_capacity) : n_(n) {
   JAMELECT_EXPECTS(n >= 1);
+  // The saturated region is exact only if 2^-u has underflowed to 0 by
+  // kZeroU; exp2 is monotone, so every larger u rounds to 0 as well.
+  JAMELECT_ENSURES(transmit_probability(kZeroU) == 0.0);
+  zero_ = make_entry(kZeroU);
   std::size_t cap = 8;
   while (cap < initial_capacity) cap <<= 1;
   mask_ = cap - 1;
@@ -38,6 +42,7 @@ void SlotProbCache::lookup_lanes(const double* us, std::size_t count,
 
 void SlotProbCache::set_lattice_step(double step) {
   JAMELECT_EXPECTS(step > 0.0);
+  JAMELECT_EXPECTS(step * static_cast<double>(kDenseCapacity) <= kZeroU);
   // Re-declaring the step the lattice already uses keeps the dense
   // index warm: long-lived caches (the per-thread BatchWorkspace) see
   // one set_lattice_step per chunk, and clearing it each time would
@@ -50,18 +55,22 @@ void SlotProbCache::set_lattice_step(double step) {
   dense_.assign(kDenseCapacity, DenseSlot{kEmpty, {}});
 }
 
-const SlotProbCache::Entry& SlotProbCache::insert_slow(double u, std::uint64_t key) {
-  JAMELECT_EXPECTS(key != kEmpty);  // u is never NaN on the hot path
-  ++misses_;
-  if (size_ + 1 > (mask_ + 1) - (mask_ + 1) / 4) grow();
-
+SlotProbCache::Entry SlotProbCache::make_entry(double u) const {
   // Same call chain as the sequential aggregate engine — the cached
   // entry is bit-identical to what run_aggregate computes per slot
   // (exp_tx reproduces the engine's `double(n) * p` product exactly).
   const double p = transmit_probability(u);
   const SlotProbabilities probs = slot_probabilities(n_, p);
-  const Entry entry{p, probs.null, probs.null + probs.single,
-                    static_cast<double>(n_) * p};
+  return Entry{p, probs.null, probs.null + probs.single,
+               static_cast<double>(n_) * p};
+}
+
+const SlotProbCache::Entry& SlotProbCache::insert_slow(double u, std::uint64_t key) {
+  JAMELECT_EXPECTS(key != kEmpty);  // u is never NaN on the hot path
+  ++misses_;
+  if (size_ + 1 > (mask_ + 1) - (mask_ + 1) / 4) grow();
+
+  const Entry entry = make_entry(u);
 
   std::size_t idx = hash(key) & mask_;
   while (slots_[idx].key != kEmpty) idx = (idx + 1) & mask_;

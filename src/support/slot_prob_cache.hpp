@@ -21,6 +21,12 @@
 // points whose accumulated floating-point drift collides in the same
 // bucket) simply fall back to the hash path. Never a wrong answer.
 //
+// Saturated region: for u >= kZeroU, transmit_probability(u) is
+// exactly 0.0 (checked at construction), so every such u shares the
+// entry {p 0, c_null 1, c_single 1, exp_tx 0}, returned after one
+// compare — a diverged estimate (E12's symmetric walks) costs no hash
+// probe. The dense range lies below kZeroU, so lattice hits skip it.
+//
 // Bit-identity: entries are computed by the exact same calls the
 // aggregate engine makes — p = transmit_probability(u), then
 // slot_probabilities(n, p), and exp_tx = double(n) * p — so a cached
@@ -28,6 +34,10 @@
 // the bit pattern (not the value) keeps the map exact: distinct
 // doubles never alias. +0.0 and -0.0 get separate entries with equal
 // payloads, which is merely a wasted slot, never a wrong answer.
+//
+// Counters: a lookup is a hit unless it inserts (a miss); dense hits
+// are the hits the lattice index answers. A saturated lookup is a hit,
+// never a miss or a dense hit.
 //
 // The cache is engine-local and unsynchronized; each batch chunk owns
 // its own instance (a few dozen entries, rebuilt per chunk in O(us)).
@@ -58,8 +68,9 @@ class SlotProbCache {
 
   /// Probabilities for a slot where each of n stations transmits w.p.
   /// transmit_probability(u). Fast path: one dense-index compare (when
-  /// a lattice is declared) or one hash + probe on a hit. The returned
-  /// reference is valid until the next lookup of a *different* u.
+  /// a lattice is declared), one compare for u >= kZeroU, or one hash +
+  /// probe on a hit. The returned reference is valid until the next
+  /// lookup of a *different* u.
   [[nodiscard]] const Entry& lookup(double u) {
     ++lookups_;
     const std::uint64_t key = std::bit_cast<std::uint64_t>(u);
@@ -84,6 +95,7 @@ class SlotProbCache {
         }
       }
     }
+    if (u >= kZeroU) return zero_;
     return lookup_hash(u, key);
   }
 
@@ -98,8 +110,9 @@ class SlotProbCache {
 
   /// Declares that u moves on a lattice of `step` (> 0) multiples,
   /// enabling the direct-mapped dense index for u in
-  /// [0, step * kDenseCapacity). Purely an accelerator (see file
-  /// comment); off-lattice lookups remain correct.
+  /// [0, step * kDenseCapacity), which must lie below kZeroU. Purely an
+  /// accelerator (see file comment); off-lattice lookups remain
+  /// correct.
   void set_lattice_step(double step);
 
   [[nodiscard]] std::uint64_t n() const noexcept { return n_; }
@@ -115,6 +128,9 @@ class SlotProbCache {
 
   /// Dense lattice index capacity, in lattice points.
   static constexpr std::size_t kDenseCapacity = 1024;
+  /// Start of the saturated region: transmit_probability(u) == 0.0 for
+  /// every u >= kZeroU (2^-u rounds to 0 from u = 1075 on).
+  static constexpr double kZeroU = 1100.0;
 
  private:
   struct Slot {
@@ -155,6 +171,8 @@ class SlotProbCache {
     }
   }
 
+  /// The uncached chain the aggregate engine runs per slot.
+  [[nodiscard]] Entry make_entry(double u) const;
   const Entry& insert_slow(double u, std::uint64_t key);
   void grow();
 
@@ -177,6 +195,7 @@ class SlotProbCache {
   std::uint64_t misses_ = 0;
   std::uint64_t dense_hits_ = 0;
   double inv_step_ = 0.0;  ///< 1 / lattice step; 0 while no lattice set
+  Entry zero_;             ///< the entry of every u >= kZeroU
   std::vector<Slot> slots_;
   std::vector<DenseSlot> dense_;  ///< empty until set_lattice_step
 };

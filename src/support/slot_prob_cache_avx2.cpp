@@ -8,10 +8,12 @@
 // three double gathers for the threshold words. Any lane out of dense
 // range or missing its key demotes the whole group to the scalar
 // lookup() path, which resolves via the hash map AND installs the
-// entry, so the next visit of the same u gathers. Counter deltas are
+// entry, so the next visit of the same u gathers. An all-saturated
+// group (u >= kZeroU, never in dense range) costs one vector compare
+// and three stores of the zero-probability entry. Counter deltas are
 // identical to the scalar loop: an all-hit group is 4 lookups + 4
-// dense hits; a demoted group counts through lookup() exactly as the
-// portable path would.
+// dense hits, an all-saturated group 4 lookups; a demoted group
+// counts through lookup() exactly as the portable path would.
 #if !defined(__AVX2__)
 #error "slot_prob_cache_avx2.cpp must be compiled with -mavx2"
 #endif
@@ -46,6 +48,10 @@ void SlotProbCache::lookup_lanes_avx2(const double* us, std::size_t count,
   const __m256d cap_d = _mm256_set1_pd(static_cast<double>(kDenseCapacity));
   const __m128i cap_i = _mm_set1_epi32(static_cast<int>(kDenseCapacity));
   const __m128i stride = _mm_set1_epi32(5);  // words per DenseSlot
+  const __m256d zero_u = _mm256_set1_pd(kZeroU);
+  const __m256d sat_c_null = _mm256_set1_pd(zero_.c_null);
+  const __m256d sat_c_single = _mm256_set1_pd(zero_.c_single);
+  const __m256d sat_exp_tx = _mm256_set1_pd(zero_.exp_tx);
   // All-lanes masks for the gathers: GCC's unmasked gather intrinsics
   // expand through a self-initialized "undefined" vector that trips
   // -Werror=uninitialized, so we spell the mask explicitly.
@@ -75,7 +81,14 @@ void SlotProbCache::lookup_lanes_avx2(const double* us, std::size_t count,
     const __m256d in_range = _mm256_and_pd(
         _mm256_cmp_pd(qd, zero, _CMP_GE_OQ), _mm256_cmp_pd(qd, cap_d, _CMP_LT_OQ));
     if (_mm256_movemask_pd(in_range) != 0xf) {
-      scalar_lanes(k, k + kGroup);
+      if (_mm256_movemask_pd(_mm256_cmp_pd(u, zero_u, _CMP_GE_OQ)) == 0xf) {
+        lookups_ += kGroup;
+        _mm256_storeu_pd(c_null + k, sat_c_null);
+        _mm256_storeu_pd(c_single + k, sat_c_single);
+        _mm256_storeu_pd(exp_tx + k, sat_exp_tx);
+      } else {
+        scalar_lanes(k, k + kGroup);
+      }
       continue;
     }
     const __m128i q = _mm256_cvttpd_epi32(_mm256_add_pd(qd, half));

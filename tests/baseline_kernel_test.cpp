@@ -1,16 +1,19 @@
 // Baseline kernels vs their virtual twins.
 //
-// baselines/baseline_kernels.hpp (Willard, Nakano–Olariu, no-CD sweep)
+// baselines/baseline_kernels.hpp (Willard, symmetric LESK, Nakano–Olariu,
+// no-CD sweep)
 // and baselines/arss_kernel.hpp (ARSS) promise bit-for-bit twins of the
 // virtual baseline classes so the batch engines can run the evaluation
 // baselines devirtualized. This suite locks each pair together at two
 // levels: direct lockstep stepping (identical observation sequences,
 // state compared after every step) and end-to-end Monte-Carlo
 // bit-identity (batched runs reproduce the sequential reference outcome
-// for outcome), plus the reason-labeled fallback counters the station
-// batch router emits.
+// for outcome, also after the estimate has diverged past
+// SlotProbCache::kZeroU), plus the reason-labeled fallback counters the
+// batch routers emit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -19,16 +22,20 @@
 #include "baselines/arss.hpp"
 #include "baselines/arss_kernel.hpp"
 #include "baselines/baseline_kernels.hpp"
+#include "baselines/lesk_symmetric.hpp"
 #include "baselines/nakano_olariu.hpp"
 #include "baselines/nocd_election.hpp"
 #include "baselines/willard.hpp"
 #include "channel/channel.hpp"
+#include "channel/trace.hpp"
 #include "obs/metrics.hpp"
 #include "obs/observer.hpp"
 #include "protocols/lesk.hpp"
 #include "protocols/uniform_station.hpp"
 #include "sim/montecarlo.hpp"
 #include "support/rng.hpp"
+#include "support/slot_prob_cache.hpp"
+#include "support/wide_rng.hpp"
 
 namespace jamelect {
 namespace {
@@ -72,6 +79,24 @@ TEST(BaselineKernels, WillardKernelStepsWithVirtualTwin) {
     expect_stepping_twin<kernels::WillardKernel, Willard>(WillardParams{}, seed,
                                                           200, 400);
   }
+}
+
+TEST(BaselineKernels, SymmetricLeskKernelStepsWithVirtualTwin) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    expect_stepping_twin<kernels::SymmetricLeskKernel, SymmetricLesk>(
+        SymmetricLeskParams{}, seed, 200, 400);
+  }
+  // A long jam: the walk climbs far past the saturated region and back.
+  kernels::SymmetricLeskKernel kernel(SymmetricLeskParams{});
+  SymmetricLesk proto;
+  for (int step = 0; step < 3000; ++step) {
+    const ChannelState state =
+        step < 2000 ? ChannelState::kCollision : ChannelState::kNull;
+    kernel.step(state);
+    proto.observe(state);
+    ASSERT_EQ(kernel.broadcast_u(), proto.estimate()) << "step " << step;
+  }
+  EXPECT_EQ(kernel.inc, 1.0);
 }
 
 TEST(BaselineKernels, NakanoOlariuKernelStepsWithVirtualTwin) {
@@ -146,6 +171,7 @@ struct BaselineCase {
 [[nodiscard]] std::vector<BaselineCase> baseline_factories() {
   return {
       {"willard", [] { return std::make_unique<Willard>(); }},
+      {"symmetric_lesk", [] { return std::make_unique<SymmetricLesk>(); }},
       {"nakano_olariu", [] { return std::make_unique<NakanoOlariu>(); }},
       {"nocd",
        [] { return std::make_unique<NoCdElection>(NoCdElectionParams{3}); }},
@@ -219,7 +245,103 @@ TEST(BaselineKernels, BaselinesTakeTheBatchPathWithoutFallback) {
   reg.set_enabled(was_enabled);
   ASSERT_TRUE(snap.counters.count("mc.batch_fallbacks"));
   EXPECT_EQ(snap.counters.at("mc.batch_fallbacks"), 0);
+  EXPECT_EQ(snap.counters.at("mc.batch_fallback.protocol"), 0);
   EXPECT_GT(snap.counters.at("mc.batch_wide_slots"), 0);
+}
+
+// ---------- diverged estimates: u past SlotProbCache::kZeroU ----------
+
+struct DivergedCase {
+  const char* name;
+  UniformProtocolFactory factory;
+  AdversarySpec adversary;
+};
+
+[[nodiscard]] AdversarySpec saturating(std::int64_t T, double eps) {
+  AdversarySpec spec;
+  spec.policy = "saturating";
+  spec.T = T;
+  spec.eps = eps;
+  return spec;
+}
+
+/// E12's failing arms (eps = 1/4) and LESK under a T = 2^16 jam (E3):
+/// each walks u past kZeroU, where the batch engines answer slots from
+/// the cache's fixed zero-probability entry.
+[[nodiscard]] std::vector<DivergedCase> diverged_cases() {
+  return {
+      {"symmetric_lesk", [] { return std::make_unique<SymmetricLesk>(); },
+       saturating(64, 0.25)},
+      {"willard", [] { return std::make_unique<Willard>(); },
+       saturating(64, 0.25)},
+      {"lesk_T65536",
+       [] { return std::make_unique<Lesk>(LeskParams{0.5, 0.0}); },
+       saturating(std::int64_t{1} << 16, 0.5)},
+  };
+}
+
+void expect_outcomes_eq(const McResult& ref, const McResult& got,
+                        const std::string& what) {
+  ASSERT_EQ(ref.outcomes.size(), got.outcomes.size()) << what;
+  for (std::size_t t = 0; t < ref.outcomes.size(); ++t) {
+    expect_outcome_eq(ref.outcomes[t], got.outcomes[t], what, t);
+  }
+}
+
+TEST(BaselineKernels, DivergedEstimatesStayBitIdenticalPastZeroProbability) {
+  // Batched vs sequential per trial, strong-CD and the weak-CD hybrid,
+  // on every wide backend. AES-CTR has no sequential twin, so its
+  // reference is the scalar-lane batch path.
+  constexpr std::uint64_t kN = 1024;
+  std::vector<WideIsa> isas{WideIsa::kScalar4};
+  if (wide_avx2_supported()) isas.push_back(WideIsa::kAvx2);
+  for (const DivergedCase& c : diverged_cases()) {
+    McConfig seq;
+    seq.trials = 6;
+    seq.seed = 0xe12ULL;
+    seq.max_slots = std::int64_t{1} << 17;
+    seq.parallel = false;
+    seq.keep_outcomes = true;
+
+    // The case must really reach the saturated region.
+    Trace trace;
+    (void)replay_aggregate_trial(c.factory, c.adversary, kN, seq, 0, nullptr,
+                                 &trace);
+    double peak = 0.0;
+    for (const SlotRecord& rec : trace.records()) {
+      peak = std::max(peak, rec.estimate);
+    }
+    ASSERT_GE(peak, SlotProbCache::kZeroU) << c.name;
+
+    const McResult ref_agg = run_aggregate_mc(c.factory, c.adversary, kN, seq);
+    const McResult ref_hyb = run_hybrid_mc(c.factory, c.adversary, kN, seq);
+    McConfig bat = seq;
+    bat.batch = 4;
+    McConfig aes = bat;
+    aes.rng_backend = RngBackend::kAesCtr;
+    McConfig aes_scalar = aes;
+    aes_scalar.batch_lanes = BatchLaneMode::kScalarLanes;
+    const McResult aes_agg =
+        run_aggregate_mc(c.factory, c.adversary, kN, aes_scalar);
+    const McResult aes_hyb =
+        run_hybrid_mc(c.factory, c.adversary, kN, aes_scalar);
+    for (const WideIsa isa : isas) {
+      set_wide_isa_for_testing(isa);
+      const std::string what =
+          std::string(c.name) + (isa == WideIsa::kAvx2 ? "/avx2" : "/scalar4");
+      expect_outcomes_eq(ref_agg,
+                         run_aggregate_mc(c.factory, c.adversary, kN, bat),
+                         what + "/aggregate/xoshiro");
+      expect_outcomes_eq(ref_hyb, run_hybrid_mc(c.factory, c.adversary, kN, bat),
+                         what + "/hybrid/xoshiro");
+      expect_outcomes_eq(aes_agg,
+                         run_aggregate_mc(c.factory, c.adversary, kN, aes),
+                         what + "/aggregate/aes_ctr");
+      expect_outcomes_eq(aes_hyb, run_hybrid_mc(c.factory, c.adversary, kN, aes),
+                         what + "/hybrid/aes_ctr");
+    }
+    reset_wide_isa_for_testing();
+  }
 }
 
 TEST(BaselineKernels, StationBatchMatchesSequentialAcrossStopRules) {

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "baselines/lesk_symmetric.hpp"
 #include "protocols/estimation.hpp"
 #include "protocols/lesk.hpp"
 #include "protocols/lesu.hpp"
@@ -196,6 +197,11 @@ TEST(BatchKernelSpec, RecognizesFreshKernelizableProtocols) {
   const auto uni_spec = batch_kernel_spec(uni);
   ASSERT_TRUE(uni_spec.has_value());
   EXPECT_TRUE(std::holds_alternative<PlainUniformParams>(*uni_spec));
+
+  const SymmetricLesk sym;
+  const auto sym_spec = batch_kernel_spec(sym);
+  ASSERT_TRUE(sym_spec.has_value());
+  EXPECT_TRUE(std::holds_alternative<SymmetricLeskParams>(*sym_spec));
 }
 
 TEST(BatchKernelSpec, RejectsWarmStartedInstances) {
@@ -208,6 +214,10 @@ TEST(BatchKernelSpec, RejectsWarmStartedInstances) {
   Lesu warm_lesu(LesuParams{});
   warm_lesu.observe(ChannelState::kNull);
   EXPECT_FALSE(batch_kernel_spec(warm_lesu).has_value());
+
+  SymmetricLesk warm_sym;
+  warm_sym.observe(ChannelState::kCollision);
+  EXPECT_FALSE(batch_kernel_spec(warm_sym).has_value());
 }
 
 TEST(BatchKernelSpec, RejectsProtocolsWithoutKernels) {

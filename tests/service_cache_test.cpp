@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "service/json.hpp"
 #include "service/result_cache.hpp"
 #include "service/service.hpp"
 #include "service/sweep_request.hpp"
@@ -144,6 +145,34 @@ TEST(SweepRequestKeying, RngBackendIsPartOfTheCacheKey) {
   SweepRequest batched = small_request(1234);
   batched.batch = 64;
   EXPECT_EQ(xo.cache_key(), batched.cache_key());
+}
+
+TEST(SweepServiceCache, SeedsAbove2To63AreDistinctColdSweeps) {
+  // Parsed from the wire, seeds 2^63 and 2^64 - 1 must key two cache
+  // entries: the second sweep computes, it is not served the first's.
+  const SweepLimits limits;
+  ServiceConfig config;
+  config.workers = 1;
+  SweepService service(config);
+  std::vector<std::string> results;
+  for (const char* seed : {"9223372036854775808", "18446744073709551615"}) {
+    std::string why;
+    const auto params = Json::parse(
+        std::string(R"({"n":128,"trials":16,"max_slots":10000,"seed":)") +
+        seed + "}");
+    ASSERT_TRUE(params.has_value());
+    const auto request = SweepRequest::from_json(*params, limits, &why);
+    ASSERT_TRUE(request.has_value()) << why;
+    const auto sub = service.submit(*request);
+    ASSERT_EQ(sub.outcome, SweepService::Submit::Outcome::kAccepted) << seed;
+    const auto done = service.wait(sub.id);
+    ASSERT_TRUE(done.has_value());
+    ASSERT_EQ(done->state, JobState::kDone);
+    results.push_back(done->result_json);
+  }
+  EXPECT_EQ(service.computed(), 2u);
+  EXPECT_EQ(service.cache_hits(), 0u);
+  EXPECT_NE(results[0], results[1]);
 }
 
 TEST(SweepServiceCache, CohortBatchIsNotKeyedAndHitsSequentialEntry) {

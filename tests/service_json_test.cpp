@@ -4,7 +4,9 @@
 // matter the field insertion order or how many times it's serialized).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,6 +37,24 @@ TEST(ServiceJson, IntegerVsDoubleLexing) {
   EXPECT_EQ(Json::parse("9223372036854775807")->as_int(),
             9223372036854775807LL);
   EXPECT_FALSE(Json::parse("9223372036854775808")->is_int());
+}
+
+TEST(ServiceJson, UnsignedIntegersStayExactUpTo2To64Minus1) {
+  const auto max = Json::parse("18446744073709551615");
+  ASSERT_TRUE(max.has_value());
+  EXPECT_TRUE(max->is_number());
+  EXPECT_FALSE(max->is_int());
+  EXPECT_EQ(max->as_uint(), std::optional<std::uint64_t>(~0ULL));
+  EXPECT_EQ(max->dump(), "18446744073709551615");
+  EXPECT_EQ(Json(std::uint64_t{1} << 63).dump(), "9223372036854775808");
+  EXPECT_EQ(Json(std::uint64_t{42}).dump(), "42");
+  EXPECT_EQ(Json::parse("42")->as_uint(), std::optional<std::uint64_t>(42));
+  // Not an exact non-negative integer: negative, a double literal (even
+  // an integral one), or beyond 2^64 - 1.
+  EXPECT_FALSE(Json::parse("-1")->as_uint().has_value());
+  EXPECT_FALSE(Json::parse("1e3")->as_uint().has_value());
+  EXPECT_FALSE(Json::parse("18446744073709551616")->as_uint().has_value());
+  EXPECT_FALSE(Json::parse("-9223372036854775809")->as_uint().has_value());
 }
 
 TEST(ServiceJson, ParsesNestedStructures) {
@@ -201,6 +221,53 @@ TEST(SweepRequestJson, ParsedRequestKeyMatchesProgrammatic) {
   direct.seed = 9;
   direct.trials = 16;
   EXPECT_EQ(parsed->cache_key(), direct.cache_key());
+}
+
+TEST(SweepRequestJson, SeedsAbove2To63GetTheirOwnKeysAndEchoExactly) {
+  const SweepLimits limits;
+  std::string why;
+  std::vector<std::string> keys;
+  for (const char* seed : {"9223372036854775807", "9223372036854775808",
+                           "18446744073709551615"}) {
+    const auto params = Json::parse(std::string(R"({"n":64,"seed":)") +
+                                    seed + "}");
+    ASSERT_TRUE(params.has_value());
+    const auto request = SweepRequest::from_json(*params, limits, &why);
+    ASSERT_TRUE(request.has_value()) << why;
+    EXPECT_EQ(std::to_string(request->seed), seed);
+    // The echoed request carries the same digits and parses back to the
+    // same request and key.
+    const std::string echo = request->to_json().dump();
+    EXPECT_NE(echo.find(std::string("\"seed\":") + seed), std::string::npos)
+        << echo;
+    const auto again =
+        SweepRequest::from_json(*Json::parse(echo), limits, &why);
+    ASSERT_TRUE(again.has_value()) << why;
+    EXPECT_EQ(again->seed, request->seed);
+    EXPECT_EQ(again->cache_key(), request->cache_key());
+    keys.push_back(request->cache_key());
+  }
+  EXPECT_NE(keys[0], keys[1]);
+  EXPECT_NE(keys[1], keys[2]);
+  EXPECT_NE(keys[0], keys[2]);
+  // Below 2^63 the key is the one a programmatic request gets.
+  SweepRequest direct;
+  direct.n = 64;
+  direct.seed = 9223372036854775807ULL;
+  EXPECT_EQ(keys[0], direct.cache_key());
+}
+
+TEST(SweepRequestJson, RejectsSeedsThatAreNotExactUnsigned64) {
+  const SweepLimits limits;
+  for (const char* seed : {"-1", "1e19", "18446744073709551616", "0.5",
+                           "3.0"}) {
+    std::string why;
+    const auto params = Json::parse(std::string(R"({"seed":)") + seed + "}");
+    ASSERT_TRUE(params.has_value()) << seed;
+    EXPECT_FALSE(SweepRequest::from_json(*params, limits, &why).has_value())
+        << seed;
+    EXPECT_NE(why.find("seed"), std::string::npos) << seed << ": " << why;
+  }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "support/math.hpp"
@@ -198,6 +199,81 @@ TEST(SlotProbCache, LookupLanesIdenticalAcrossBackends) {
     EXPECT_EQ(per_isa[i].misses, per_isa[0].misses);
     EXPECT_EQ(per_isa[i].dense, per_isa[0].dense);
   }
+}
+
+// ---------- saturated region (u >= kZeroU) ----------
+
+TEST(SlotProbCache, SaturatedRegionMatchesUncachedChainBitForBit) {
+  // Both sides of the underflow point and deep into the saturated
+  // region: the fixed entry must be exactly what the chain computes.
+  constexpr double kZ = SlotProbCache::kZeroU;
+  const double us[] = {1074.0, 1075.0, kZ - 0.5, kZ, 4096.0, 65537.25, 1e9,
+                       std::numeric_limits<double>::infinity()};
+  for (const std::uint64_t n : {1ULL, 1024ULL, 1ULL << 20}) {
+    for (const bool lattice : {false, true}) {
+      SlotProbCache cache(n);
+      if (lattice) cache.set_lattice_step(1.0);
+      for (const double u : us) expect_entry_exact(cache, u);
+      for (const double u : us) expect_entry_exact(cache, u);  // warm
+    }
+  }
+}
+
+TEST(SlotProbCache, SaturatedLookupIsAHitNeitherMissNorDenseHit) {
+  for (const bool lattice : {false, true}) {
+    SlotProbCache cache(1024);
+    if (lattice) cache.set_lattice_step(1.0);
+    for (const double u : {SlotProbCache::kZeroU, 5000.0, 1e9}) {
+      (void)cache.lookup(u);
+    }
+    EXPECT_EQ(cache.lookups(), 3u);
+    EXPECT_EQ(cache.misses(), 0u);
+    EXPECT_EQ(cache.dense_hits(), 0u);
+    EXPECT_EQ(cache.size(), 0u);  // nothing was inserted
+  }
+}
+
+TEST(SlotProbCache, DenseLatticeMustLieBelowTheSaturatedRegion) {
+  SlotProbCache cache(64);
+  EXPECT_NO_THROW(cache.set_lattice_step(1.0));
+  EXPECT_THROW(cache.set_lattice_step(2.0), ContractViolation);
+}
+
+TEST(SlotProbCache, LookupLanesSaturatedGroupsMatchPerLaneLookups) {
+  // Lane groups of four: all saturated, saturated mixed with dense
+  // hits, with hash-path u beyond the dense range, and a ragged tail.
+  // Every backend must give per-lane lookup()'s entries and counters.
+  std::vector<WideIsa> isas{WideIsa::kScalar4};
+  if (wide_avx2_supported()) isas.push_back(WideIsa::kAvx2);
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> us = {
+      2000.0, 1e9,    SlotProbCache::kZeroU, inf,     // all saturated
+      3.0,    4096.0, 7.0,                   1e6,     // dense + saturated
+      1050.0, 1200.0, 1080.5,                65537.0, // hash + saturated
+      5000.0, 6000.0, 7000.0,                8000.0,  // all saturated
+      1100.0, 3.0};                                   // ragged tail
+  for (const WideIsa isa : isas) {
+    set_wide_isa_for_testing(isa);
+    SlotProbCache cache(1024);
+    SlotProbCache twin(1024);
+    cache.set_lattice_step(1.0);
+    twin.set_lattice_step(1.0);
+    std::vector<double> c_null(us.size()), c_single(us.size()), ex(us.size());
+    for (int pass = 0; pass < 2; ++pass) {
+      cache.lookup_lanes(us.data(), us.size(), c_null.data(), c_single.data(),
+                         ex.data());
+      for (std::size_t k = 0; k < us.size(); ++k) {
+        const SlotProbCache::Entry& e = twin.lookup(us[k]);
+        ASSERT_EQ(bits(c_null[k]), bits(e.c_null)) << "lane " << k;
+        ASSERT_EQ(bits(c_single[k]), bits(e.c_single)) << "lane " << k;
+        ASSERT_EQ(bits(ex[k]), bits(e.exp_tx)) << "lane " << k;
+      }
+    }
+    EXPECT_EQ(cache.lookups(), twin.lookups());
+    EXPECT_EQ(cache.misses(), twin.misses());
+    EXPECT_EQ(cache.dense_hits(), twin.dense_hits());
+  }
+  reset_wide_isa_for_testing();
 }
 
 TEST(SlotProbCache, CountsLookupsHitsAndMisses) {
